@@ -3,12 +3,11 @@
 //!
 //! Two configurations are timed end-to-end through `CubeLsi::build`:
 //!
-//! * **optimized** — the default kernels: bounds-pruned k-means, fused
-//!   single-pass Gram applies, the adaptive spectral eigensolver, and the
-//!   scratch-reusing TTM/HOOI sweeps;
+//! * **optimized** — the default kernels: bounds-pruned k-means, the
+//!   adaptive spectral eigensolver, and the scratch-reusing TTM/HOOI
+//!   sweeps;
 //! * **reference** — `CubeLsiConfig::with_reference_kernels()`, the
-//!   pre-overhaul paths (naive Lloyd's, materialized Gram products, the
-//!   exhaustive spectral solver).
+//!   pre-overhaul paths (naive Lloyd's, the exhaustive spectral solver).
 //!
 //! Besides the criterion numbers, a machine-readable per-phase report is
 //! written to `BENCH_build.json` at the workspace root (wall time per

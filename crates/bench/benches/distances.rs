@@ -31,7 +31,6 @@ fn decompose(tensor: &SparseTensor3, core: usize) -> TuckerDecomposition {
         max_iters: 4,
         fit_tol: 1e-4,
         subspace: SubspaceOptions::default(),
-        fused_gram: true,
     };
     tucker_als(tensor, &cfg).unwrap()
 }

@@ -27,7 +27,6 @@ fn tucker_config(core: usize) -> TuckerConfig {
         max_iters: 4,
         fit_tol: 1e-4,
         subspace: SubspaceOptions::default(),
-        fused_gram: true,
     }
 }
 
@@ -75,6 +74,7 @@ fn bench_ttm_kernel(c: &mut Criterion) {
     });
 }
 
+/// The HOSVD unfolding: occupied-column CSR plus its column map.
 fn bench_hosvd_unfold(c: &mut Criterion) {
     let tensor = corpus_tensor(300, 250, 15_000);
     c.bench_function("unfold_csr_mode2", |bencher| {

@@ -45,10 +45,6 @@ pub struct CubeLsiConfig {
     /// variant. Both are bit-identical; the naive path is the reference for
     /// equivalence tests and the slow side of the build-phase bench.
     pub naive_kmeans: bool,
-    /// Apply the HOSVD Gram operators as two materialized sparse products
-    /// instead of the fused single-pass kernel. Bit-identical reference
-    /// path, same purpose as `naive_kmeans`.
-    pub materialized_gram: bool,
     /// Drive concept distillation with the legacy exhaustive eigensolver
     /// (Rayleigh–Ritz every iteration, full-block convergence) instead of
     /// the adaptive periodic-projection solver.
@@ -73,7 +69,6 @@ impl Default for CubeLsiConfig {
             sigma: None,
             seed: 0xc0be_15e1,
             naive_kmeans: false,
-            materialized_gram: false,
             exhaustive_spectral: false,
             pruning: PruningStrategy::default(),
         }
@@ -82,13 +77,12 @@ impl Default for CubeLsiConfig {
 
 impl CubeLsiConfig {
     /// Switches every offline kernel to its reference (pre-overhaul)
-    /// implementation: naive Lloyd's, materialized Gram products, and the
-    /// exhaustive spectral eigensolver — and the online engine to the
+    /// implementation: naive Lloyd's and the exhaustive spectral
+    /// eigensolver — and the online engine to the
     /// MaxScore reference pruning loop. This is the slow side of the
     /// `build_phases` bench and the baseline of the equivalence tests.
     pub fn with_reference_kernels(mut self) -> Self {
         self.naive_kmeans = true;
-        self.materialized_gram = true;
         self.exhaustive_spectral = true;
         self.pruning = PruningStrategy::MaxScore;
         self
@@ -112,7 +106,6 @@ impl CubeLsiConfig {
             seed: self.seed ^ 0x717c_4e12,
             ..Default::default()
         };
-        cfg.fused_gram = !self.materialized_gram;
         Ok(cfg)
     }
 

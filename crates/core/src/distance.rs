@@ -277,7 +277,6 @@ mod tests {
             max_iters: 40,
             fit_tol: 1e-12,
             subspace: SubspaceOptions::default(),
-            fused_gram: true,
         };
         tucker_als(&f, &cfg).unwrap()
     }

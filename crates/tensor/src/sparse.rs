@@ -146,25 +146,55 @@ impl SparseTensor3 {
         t
     }
 
-    /// Mode-n unfolding as a sparse CSR matrix (Kolda–Bader column order,
-    /// identical to [`DenseTensor3::unfold`]).
+    /// Mode-n unfolding restricted to its occupied columns, as a sparse
+    /// CSR matrix, plus the map from each compact column to its Kolda–Bader
+    /// column in the full unfolding (the column order of
+    /// [`DenseTensor3::unfold`]).
     ///
-    /// Rows are assembled directly from the per-mode index — no COO
-    /// round-trip and no global sort — with the per-row column sorts fanned
-    /// out across parallel row bands. Each row is computed identically no
-    /// matter how the bands fall, so the result is independent of the
-    /// thread count and bit-identical to the former triples-based path.
-    pub fn unfold_csr(&self, mode: usize) -> CsrMatrix {
-        let (d1, d2, _) = self.dims;
-        let (rows, cols): (usize, usize) = match mode {
-            1 => (d1, d2 * self.dims.2),
-            2 => (d2, d1 * self.dims.2),
-            3 => (self.dims.2, d1 * d2),
-            _ => panic!("mode must be 1, 2 or 3, got {mode}"),
-        };
+    /// The full unfolding has `∏ₘ≠ₙ Iₘ` columns, almost all of them empty
+    /// for a tag-assignment tensor, and that count can exceed `u32`. The
+    /// occupied columns keep their Kolda–Bader order (keys computed in
+    /// `u64`) and are renumbered `0..` — at most `nnz` of them. Each row
+    /// therefore keeps its entry order, so any product that walks the
+    /// rows in CSR order (`A Aᵀ` in particular) is bit-identical to the
+    /// same product on the full unfolding.
+    ///
+    /// Rows are assembled directly from the per-mode index, with the
+    /// per-row column sorts fanned out across parallel row bands. Each row
+    /// is computed identically no matter how the bands fall, so the result
+    /// is independent of the thread count.
+    pub fn unfold_csr(&self, mode: usize) -> (CsrMatrix, Vec<u64>) {
+        let rows = self.dim(mode);
         let idx = &self.mode_index[mode - 1];
         let entries = &self.entries;
         let nnz = entries.len();
+
+        // Kolda–Bader column of every entry, then compact ids in key order.
+        let (d1, d2) = (self.dims.0 as u64, self.dims.1 as u64);
+        let mut keyed: Vec<(u64, u32)> = entries
+            .iter()
+            .enumerate()
+            .map(|(pos, e)| {
+                let (i, j, k) = (u64::from(e.i), u64::from(e.j), u64::from(e.k));
+                let key = match mode {
+                    1 => j + k * d2,
+                    2 => i + k * d1,
+                    _ => i + j * d1,
+                };
+                (key, pos as u32)
+            })
+            .collect();
+        keyed.sort_unstable();
+        let mut columns: Vec<u64> = Vec::new();
+        let mut compact = vec![0u32; nnz];
+        for &(key, pos) in &keyed {
+            if columns.last() != Some(&key) {
+                columns.push(key);
+            }
+            compact[pos as usize] = (columns.len() - 1) as u32;
+        }
+        drop(keyed);
+
         let row_ptr: Vec<u32> = idx.ptr.clone();
         let mut col_idx = vec![0u32; nnz];
         let mut values = vec![0.0f64; nnz];
@@ -179,14 +209,7 @@ impl SparseTensor3 {
                 let end = idx.ptr[row + 1] as usize;
                 scratch.clear();
                 for &pos in &idx.order[start..end] {
-                    let e = &entries[pos as usize];
-                    let col = match mode {
-                        1 => e.j as usize + e.k as usize * d2,
-                        2 => e.i as usize + e.k as usize * d1,
-                        3 => e.i as usize + e.j as usize * d1,
-                        _ => unreachable!(),
-                    };
-                    scratch.push((col as u32, e.v));
+                    scratch.push((compact[pos as usize], entries[pos as usize].v));
                 }
                 // Distinct coordinates map to distinct columns within a
                 // row, so an unstable sort is deterministic here.
@@ -227,8 +250,9 @@ impl SparseTensor3 {
             })
             .expect("unfold_csr worker thread panicked");
         }
-        CsrMatrix::from_sorted_parts(rows, cols, row_ptr, col_idx, values)
-            .expect("unfold rows are sorted and in bounds")
+        let matrix = CsrMatrix::from_sorted_parts(rows, columns.len(), row_ptr, col_idx, values)
+            .expect("unfold rows are sorted and in bounds");
+        (matrix, columns)
     }
 
     /// The mode-2 slice `F[:, j, :]` as a sparse user×resource matrix —
@@ -466,18 +490,73 @@ mod tests {
         assert!(SparseTensor3::from_entries((2, 2, 2), &[(2, 0, 0, 1.0)]).is_err());
     }
 
+    /// Scatters a compact unfolding back to the full Kolda–Bader width.
+    fn expand_unfolding(t: &SparseTensor3, mode: usize) -> Matrix {
+        let (compact, columns) = t.unfold_csr(mode);
+        let compact = compact.to_dense();
+        let (d1, d2, d3) = t.dims();
+        let full_cols = d1 * d2 * d3 / t.dim(mode);
+        let mut full = Matrix::zeros(compact.rows(), full_cols);
+        for r in 0..compact.rows() {
+            for (c, &orig) in columns.iter().enumerate() {
+                full[(r, orig as usize)] = compact[(r, c)];
+            }
+        }
+        full
+    }
+
     #[test]
     fn unfold_csr_matches_dense_unfold() {
         let t = figure2_tensor();
         let dense = t.to_dense();
         for mode in 1..=3 {
-            let sparse_unf = t.unfold_csr(mode).to_dense();
+            let sparse_unf = expand_unfolding(&t, mode);
             let dense_unf = dense.unfold(mode);
             assert!(
                 sparse_unf.approx_eq(&dense_unf, 0.0),
                 "mode {mode} unfolding mismatch"
             );
         }
+    }
+
+    #[test]
+    fn unfold_csr_keeps_only_occupied_columns_in_order() {
+        let t = figure2_tensor();
+        let dense = t.to_dense();
+        for mode in 1..=3 {
+            let (compact, columns) = t.unfold_csr(mode);
+            assert_eq!(compact.cols(), columns.len());
+            assert!(columns.windows(2).all(|w| w[0] < w[1]), "mode {mode}");
+            let full = dense.unfold(mode);
+            let occupied: Vec<u64> = (0..full.cols())
+                .filter(|&c| (0..full.rows()).any(|r| full[(r, c)] != 0.0))
+                .map(|c| c as u64)
+                .collect();
+            assert_eq!(columns, occupied, "mode {mode} occupied columns");
+        }
+    }
+
+    #[test]
+    fn unfold_csr_column_keys_do_not_wrap_past_u32() {
+        // Mode-2 unfolding of a 70k x 2 x 70k tensor has 4.9e9 columns;
+        // keys that wrapped at 2^32 would collide or renumber here.
+        let far = 70_000 - 1;
+        let quads = [
+            (0, 0, 0, 1.0),
+            (far, 0, far, 2.0),
+            (1, 1, 61_356, 3.0),
+            (far, 1, 0, 4.0),
+        ];
+        let t = SparseTensor3::from_entries((70_000, 2, 70_000), &quads).unwrap();
+        let (compact, columns) = t.unfold_csr(2);
+        let d1 = 70_000u64;
+        let expected = vec![0, far as u64, 1 + 61_356 * d1, far as u64 + far as u64 * d1];
+        assert_eq!(columns, expected);
+        assert!(columns[3] > u64::from(u32::MAX));
+        let dense = compact.to_dense();
+        assert_eq!(dense.shape(), (2, 4));
+        assert_eq!(dense.row(0), &[1.0, 0.0, 0.0, 2.0]);
+        assert_eq!(dense.row(1), &[0.0, 4.0, 3.0, 0.0]);
     }
 
     #[test]
@@ -591,7 +670,7 @@ mod tests {
             cubelsi_linalg::parallel::set_num_threads(0);
             assert_eq!(serial, par, "mode {mode} unfolding depends on thread count");
             // And the fast path still matches the dense reference.
-            assert!(serial.to_dense().approx_eq(&t.to_dense().unfold(mode), 0.0));
+            assert!(expand_unfolding(&t, mode).approx_eq(&t.to_dense().unfold(mode), 0.0));
         }
     }
 

@@ -1,5 +1,14 @@
 //! Tucker decomposition via HOSVD initialization + HOOI/ALS iterations.
 //!
+//! Only modes 2 and 3 get an HOSVD start, as in Tensor Toolbox's
+//! `tucker_als` (Kolda & Bader, SIAM Review 2009): the first HOOI step
+//! rebuilds `Y⁽¹⁾` from `Y⁽²⁾` and `Y⁽³⁾` before anything reads it, so a
+//! mode-1 HOSVD would be discarded unread. Each HOSVD runs on the
+//! occupied columns of the mode-n unfolding only (see
+//! [`SparseTensor3::unfold_csr`]): the full unfolding has `∏ₘ≠ₙ Iₘ`
+//! columns, nearly all empty for a power-law folksonomy, and the `Aᵀ X`
+//! intermediate of the Gram apply would otherwise be that tall.
+//!
 //! Solves the trimmed Tucker problem of Definition 2 in the paper: given a
 //! sparse `F ∈ R^{I₁×I₂×I₃}` and core dimensions `J₁, J₂, J₃` (usually set
 //! through reduction ratios `cₙ = Iₙ/Jₙ`), find orthonormal factor matrices
@@ -26,17 +35,13 @@ use crate::sparse::SparseTensor3;
 pub struct TuckerConfig {
     /// Target core dimensions `(J₁, J₂, J₃)`; clamped to the tensor dims.
     pub core_dims: (usize, usize, usize),
-    /// Maximum HOOI iterations (each iteration updates all three modes).
+    /// Maximum HOOI iterations (each iteration updates all three modes);
+    /// must be at least 1.
     pub max_iters: usize,
     /// Stop when the fit improves by less than this between iterations.
     pub fit_tol: f64,
     /// Settings for the inner subspace-iteration eigensolver.
     pub subspace: SubspaceOptions,
-    /// Use the fused single-pass Gram apply for the HOSVD initialization
-    /// (default). `false` selects the materialized two-matmul reference
-    /// path; both are bit-identical, the reference exists for equivalence
-    /// tests and the build-phase bench.
-    pub fused_gram: bool,
 }
 
 impl TuckerConfig {
@@ -70,7 +75,6 @@ impl Default for TuckerConfig {
             max_iters: 12,
             fit_tol: 1e-5,
             subspace: SubspaceOptions::default(),
-            fused_gram: true,
         }
     }
 }
@@ -133,10 +137,12 @@ impl TuckerDecomposition {
 
 /// Runs HOSVD-initialized HOOI/ALS on a sparse third-order tensor.
 ///
-/// Each iteration updates the three factor matrices in mode order; each
-/// update computes the fused TTM chain `W = F ×ₘ≠ₙ Y⁽ᵐ⁾ᵀ` (cost
-/// `O(nnz·∏Jₘ)`) and takes the leading `Jₙ` left singular vectors of its
-/// mode-n unfolding. After convergence the mode-2 step is refreshed once so
+/// HOSVD initializes `Y⁽²⁾` and `Y⁽³⁾` only; the first sweep computes
+/// `Y⁽¹⁾` from them, so `config.max_iters` must be at least 1 (otherwise
+/// `InvalidArgument`). Each iteration updates the three factor matrices in
+/// mode order; each update computes the fused TTM chain
+/// `W = F ×ₘ≠ₙ Y⁽ᵐ⁾ᵀ` (cost `O(nnz·∏Jₘ)`) and takes the leading `Jₙ` left
+/// singular vectors of its mode-n unfolding. After convergence the mode-2 step is refreshed once so
 /// `Y⁽²⁾`/`Λ₂` are exactly the singular pairs of the final product matrix,
 /// and the core is contracted from the final factors (Eq. 16).
 pub fn tucker_als(
@@ -162,13 +168,21 @@ pub fn tucker_als(
             "cannot decompose an all-zero tensor".into(),
         ));
     }
+    if config.max_iters == 0 {
+        return Err(LinAlgError::InvalidArgument(
+            "tucker_als needs max_iters >= 1: the first sweep computes Y(1)".into(),
+        ));
+    }
 
     // --- HOSVD initialization: Y⁽ⁿ⁾ ← top-Jₙ eigenvectors of Aₙ Aₙᵀ where
-    // Aₙ is the sparse mode-n unfolding.
+    // Aₙ is the sparse mode-n unfolding, for modes 2 and 3. The mode-1 slot
+    // is a placeholder: the first sweep's mode-1 update always runs
+    // (`updated_from[0]` starts behind the input versions) and replaces it
+    // before anything reads it.
     let mut factors: [Matrix; 3] = [
-        hosvd_factor(f, 1, j1, config)?,
-        hosvd_factor(f, 2, j2, config)?,
-        hosvd_factor(f, 3, j3, config)?,
+        Matrix::zeros(0, 0),
+        hosvd_factor(f, 2, j2, &config.subspace)?,
+        hosvd_factor(f, 3, j3, &config.subspace)?,
     ];
 
     let norm_f_sq = f.frobenius_norm_sq();
@@ -288,16 +302,17 @@ pub fn tucker_als(
 }
 
 /// HOSVD factor for one mode: leading eigenvectors of the sparse unfolding's
-/// outer Gram operator, computed without densifying the unfolding.
+/// outer Gram operator, computed without densifying the unfolding. Empty
+/// columns add nothing to `A Aᵀ`, so the unfolding keeps only its occupied
+/// ones; the result is bit-identical to the full-width product.
 fn hosvd_factor(
     f: &SparseTensor3,
     mode: usize,
     k: usize,
-    config: &TuckerConfig,
+    options: &SubspaceOptions,
 ) -> Result<Matrix, LinAlgError> {
-    let unfolding = f.unfold_csr(mode);
-    let op = GramOp::outer(&unfolding).with_fused(config.fused_gram);
-    let eigs = sym_eigs_topk(&op, k, &config.subspace)?;
+    let (unfolding, _) = f.unfold_csr(mode);
+    let eigs = sym_eigs_topk(&GramOp::outer(&unfolding), k, options)?;
     Ok(eigs.vectors)
 }
 
@@ -325,7 +340,6 @@ mod tests {
             max_iters: 30,
             fit_tol: 1e-10,
             subspace: SubspaceOptions::default(),
-            fused_gram: true,
         }
     }
 
@@ -447,6 +461,61 @@ mod tests {
     fn zero_tensor_rejected() {
         let f = SparseTensor3::from_entries((2, 2, 2), &[]).unwrap();
         assert!(tucker_als(&f, &TuckerConfig::default()).is_err());
+    }
+
+    #[test]
+    fn zero_sweeps_rejected() {
+        let config = TuckerConfig {
+            max_iters: 0,
+            ..default_config((2, 2, 2))
+        };
+        assert!(matches!(
+            tucker_als(&figure2_tensor(), &config),
+            Err(LinAlgError::InvalidArgument(_))
+        ));
+    }
+
+    #[test]
+    fn huge_unfolding_finishes_with_orthonormal_factors() {
+        // The mode-2 unfolding of a 70k x 4 x 70k tensor has 4.9e9 columns:
+        // past u32 column ids, and a 4.9e9 x block Gram intermediate would
+        // not fit in memory. Only the occupied columns may be touched.
+        let mut quads = Vec::new();
+        let mut state = 0x1ce_b00cu64;
+        for _ in 0..3_000 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            // Power-law users and resources, as in a real folksonomy.
+            let skew = |bits: u64| ((bits % 1000) as f64 / 1000.0).powi(4);
+            let i = (skew(state >> 11) * 70_000.0) as usize;
+            let j = (state >> 29) as usize % 4;
+            let k = (skew(state >> 37) * 70_000.0) as usize;
+            quads.push((i, j, k, 1.0));
+        }
+        let f = SparseTensor3::from_entries((70_000, 4, 70_000), &quads).unwrap();
+        // Convergence is not under test; a thin block and a short
+        // eigensolver budget keep the 70k-row subspace iterations quick in
+        // debug builds.
+        let config = TuckerConfig {
+            max_iters: 2,
+            subspace: SubspaceOptions {
+                oversample: 2,
+                max_iters: 8,
+                ..Default::default()
+            },
+            ..default_config((2, 4, 2))
+        };
+        let d = tucker_als(&f, &config).unwrap();
+        assert_eq!(d.core.dims(), (2, 4, 2));
+        for (n, y) in d.factors.iter().enumerate() {
+            assert!(
+                orthonormality_error(y) < 1e-8,
+                "factor {} not orthonormal",
+                n + 1
+            );
+        }
+        assert!(d.fit.is_finite() && d.fit > 0.0);
     }
 
     #[test]

@@ -2,12 +2,12 @@
 //! reference implementations.
 //!
 //! The build-performance overhaul replaced naive Lloyd's k-means with a
-//! bounds-pruned variant and the materialized two-matmul Gram applies with
-//! fused single-pass kernels. Both swaps claim **bit-identical** results;
-//! these tests enforce the claim end to end on randomized corpora: a build
-//! with the reference kernels must produce byte-for-byte the same tag
-//! distances, concept assignments, and ranked search results as the
-//! optimized default.
+//! bounds-pruned variant that claims **bit-identical** results; these tests
+//! enforce the claim end to end on randomized corpora: a build with the
+//! reference k-means must produce byte-for-byte the same tag distances,
+//! concept assignments, and ranked search results as the optimized
+//! default. (The HOSVD Gram apply has a single path now; the fused inner
+//! Gram kernel keeps its own oracle in the linalg unit tests.)
 
 use cubelsi::core::{CubeLsi, CubeLsiConfig};
 use cubelsi::datagen::{generate, GeneratorConfig};
@@ -73,12 +73,11 @@ fn pruned_kmeans_and_fused_gram_are_bit_identical_end_to_end() {
             seed: seed ^ 0xbeef,
             ..Default::default()
         };
-        // Only the two kernel toggles under test flip; the spectral solver
+        // Only the k-means toggle under test flips; the spectral solver
         // stays on the default path on both sides so any divergence is
-        // attributable to k-means or the Gram apply.
+        // attributable to k-means.
         let reference_cfg = CubeLsiConfig {
             naive_kmeans: true,
-            materialized_gram: true,
             ..optimized_cfg.clone()
         };
         let optimized = CubeLsi::build(&ds.folksonomy, &optimized_cfg).unwrap();
@@ -104,7 +103,7 @@ fn pruned_kmeans_and_fused_gram_are_bit_identical_end_to_end() {
 #[test]
 fn variance_rule_builds_are_equivalent_too() {
     // The 95 %-variance concept selection exercises the adaptive solver's
-    // `needed` closure; the kernel toggles must still be invisible.
+    // `needed` closure; the k-means toggle must still be invisible.
     let ds = corpus(50, 40, 2_500, 31);
     let optimized_cfg = CubeLsiConfig {
         num_concepts: None,
@@ -115,7 +114,6 @@ fn variance_rule_builds_are_equivalent_too() {
     };
     let reference_cfg = CubeLsiConfig {
         naive_kmeans: true,
-        materialized_gram: true,
         ..optimized_cfg.clone()
     };
     let optimized = CubeLsi::build(&ds.folksonomy, &optimized_cfg).unwrap();
