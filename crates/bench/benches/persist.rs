@@ -12,9 +12,15 @@
 //! * `persist/load_zero_copy` — restoring the engine with the index
 //!   arrays borrowed straight out of the aligned file buffer (the
 //!   `--zero-copy` serving path): validation still runs, the per-posting
-//!   copy does not.
+//!   copy does not;
+//! * `persist/crc32` — the integrity checksum every save and load runs
+//!   over every section and every shard file, in bytes per second;
+//! * `persist/load_manifest` / `persist/load_manifest_zero_copy` —
+//!   `shard::load_source` on a 4-shard manifest of the same model, both
+//!   load modes: the startup and `RELOAD` cost of sharded serving.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use cubelsi_core::shard::{self, LoadMode};
 use cubelsi_core::{persist, AlignedBytes, CubeLsi, CubeLsiConfig};
 use cubelsi_datagen::{generate, GeneratorConfig};
 use std::hint::black_box;
@@ -63,6 +69,24 @@ fn bench_persist(c: &mut Criterion) {
     group.bench_function("load_zero_copy", |b| {
         b.iter(|| black_box(persist::load_zero_copy(black_box(aligned.clone())).unwrap()))
     });
+    group.bench_function("crc32", |b| {
+        b.iter(|| black_box(persist::crc32(black_box(&bytes))))
+    });
+
+    let dir = std::env::temp_dir().join(format!("cubelsi-bench-persist-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let manifest = dir.join("model.shards");
+    let report = shard::save_sharded(&manifest, &model, f, 4).unwrap();
+    group.throughput(Throughput::Bytes(report.shard_bytes.iter().sum()));
+    for (name, mode) in [
+        ("load_manifest", LoadMode::Owned),
+        ("load_manifest_zero_copy", LoadMode::ZeroCopy),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| black_box(shard::load_source(black_box(&manifest), mode).unwrap()))
+        });
+    }
+    std::fs::remove_dir_all(&dir).ok();
 
     group.finish();
 }

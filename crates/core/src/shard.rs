@@ -78,6 +78,20 @@
 //! artifact file, or shards that disagree on corpus/model/partition all
 //! yield a typed [`PersistError`] and **never a partial engine** —
 //! enforced by the `shard_manifest_adversarial` integration tests.
+//!
+//! # Loading a manifest decodes the shared sections once
+//!
+//! Every shard artifact carries the same meta, folksonomy, Tucker,
+//! distance and concept sections; only the index differs. [`load_source`]
+//! checks each shard file's length and whole-file CRC-32 against the
+//! manifest, then loads shard 0 in full (every section CRC, every
+//! structural validator). A later shard has its section CRCs verified
+//! too, but its shared sections must be byte-identical to shard 0's —
+//! a stricter check than comparing decoded corpus statistics — and only
+//! its index section is decoded and validated; a differing or absent
+//! shared section is a [`PersistError::Shard`] naming the shard and the
+//! section. [`ShardSet::from_parts`] then runs the dimension, idf and
+//! partition-membership checks over all shards.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -89,7 +103,7 @@ use cubelsi_linalg::parallel;
 use crate::concepts::ConceptModel;
 use crate::exec;
 use crate::index::{cmp_ranked, order_terms_with, ConceptAssignment, ConceptIndex, RankedResource};
-use crate::persist::{crc32, load_from_bytes, load_zero_copy, widen, Artifact, PersistError};
+use crate::persist::{crc32, load_reference, load_shard_index, widen, PersistError};
 use crate::query::{PruningStrategy, QueryEngine, QuerySession};
 use crate::slab::AlignedBytes;
 
@@ -600,37 +614,6 @@ impl ShardSet {
         })
     }
 
-    /// Assembles a shard set from loaded artifacts (shard `i` of
-    /// `artifacts.len()` at index `i`), validating that all shards were
-    /// cut from the same corpus and concept model.
-    pub fn from_artifacts(artifacts: Vec<Artifact>) -> Result<Self, PersistError> {
-        let mut artifacts = artifacts;
-        if artifacts.is_empty() {
-            return Err(shard_err("no shard artifacts"));
-        }
-        let first_stats = artifacts[0].folksonomy.stats();
-        for (i, a) in artifacts.iter().enumerate().skip(1) {
-            if a.folksonomy.stats() != first_stats {
-                return Err(shard_err(format!(
-                    "shard {i} corpus ({}) disagrees with shard 0's ({first_stats})",
-                    a.folksonomy.stats()
-                )));
-            }
-            if a.model.concepts().assignments() != artifacts[0].model.concepts().assignments() {
-                return Err(shard_err(format!(
-                    "shard {i} concept assignments disagree with shard 0's"
-                )));
-            }
-        }
-        let first = artifacts.remove(0);
-        let folksonomy = first.folksonomy;
-        let concepts = first.model.concepts().clone();
-        let mut engines = Vec::with_capacity(artifacts.len() + 1);
-        engines.push(first.model.into_engine());
-        engines.extend(artifacts.into_iter().map(|a| a.model.into_engine()));
-        Self::from_parts(engines, folksonomy, concepts)
-    }
-
     /// Number of shards in the set.
     pub fn num_shards(&self) -> usize {
         self.engines.len()
@@ -1055,71 +1038,97 @@ fn merge_ranked(
 /// manifest, every referenced artifact's length and CRC-32 are verified
 /// against the manifest entry before parsing, so a swapped or damaged
 /// shard file is rejected with [`PersistError::ChecksumMismatch`]
-/// (`section` = the shard ordinal) and can never serve.
+/// (`section` = the shard ordinal) and can never serve. Shard 0 is then
+/// loaded in full; every later shard must carry shared sections
+/// byte-identical to shard 0's (else [`PersistError::Shard`]), and only
+/// its index section is decoded.
 pub fn load_source(path: impl AsRef<Path>, mode: LoadMode) -> Result<ShardSet, PersistError> {
     let path = path.as_ref();
     match sniff_source(path)? {
         SourceKind::Artifact => {
-            let artifact = load_artifact_file(path, mode)?;
-            ShardSet::from_artifacts(vec![artifact])
+            let artifact = match mode {
+                LoadMode::Owned => crate::persist::load_from_path(path)?,
+                LoadMode::ZeroCopy => crate::persist::load_from_path_zero_copy(path)?,
+            };
+            let concepts = artifact.model.concepts().clone();
+            ShardSet::from_parts(
+                vec![artifact.model.into_engine()],
+                artifact.folksonomy,
+                concepts,
+            )
         }
         SourceKind::Manifest => {
             let manifest = load_manifest(path)?;
             let dir = path.parent().unwrap_or(Path::new("."));
-            let mut artifacts = Vec::with_capacity(manifest.entries.len());
-            for (shard, entry) in manifest.entries.iter().enumerate() {
-                let shard_path = dir.join(&entry.file_name);
-                artifacts.push(load_checked_artifact(
-                    &shard_path,
-                    entry,
-                    shard as u32,
-                    mode,
-                )?);
+            let read = |shard: usize, entry: &ShardEntry| {
+                ShardBytes::read(&dir.join(&entry.file_name), entry, shard, mode)
+            };
+            let Some((first_entry, rest)) = manifest.entries.split_first() else {
+                return Err(shard_err("no shard artifacts"));
+            };
+            let first = read(0, first_entry)?;
+            let (artifact, shared) = load_reference(first.as_slice(), first.owner())?;
+            let concepts = artifact.model.concepts().clone();
+            let mut engines = Vec::with_capacity(manifest.entries.len());
+            engines.push(artifact.model.into_engine());
+            for (i, entry) in rest.iter().enumerate() {
+                let shard = i + 1;
+                let bytes = read(shard, entry)?;
+                let index = load_shard_index(bytes.as_slice(), bytes.owner(), &shared, shard)?;
+                engines.push(QueryEngine::new(index));
             }
-            ShardSet::from_artifacts(artifacts)
+            ShardSet::from_parts(engines, artifact.folksonomy, concepts)
         }
     }
 }
 
-fn load_artifact_file(path: &Path, mode: LoadMode) -> Result<Artifact, PersistError> {
-    match mode {
-        LoadMode::Owned => crate::persist::load_from_path(path),
-        LoadMode::ZeroCopy => crate::persist::load_from_path_zero_copy(path),
-    }
+/// One shard artifact file in memory, its length and CRC-32 already
+/// checked against the manifest entry: a plain buffer (owned load) or a
+/// shared aligned one whose index arrays the zero-copy load borrows.
+enum ShardBytes {
+    Owned(Vec<u8>),
+    Shared(Arc<AlignedBytes>),
 }
 
-fn load_checked_artifact(
-    path: &Path,
-    entry: &ShardEntry,
-    shard: u32,
-    mode: LoadMode,
-) -> Result<Artifact, PersistError> {
-    let check = |bytes: &[u8]| -> Result<(), PersistError> {
-        if bytes.len() as u64 != entry.file_len {
+impl ShardBytes {
+    fn read(
+        path: &Path,
+        entry: &ShardEntry,
+        shard: usize,
+        mode: LoadMode,
+    ) -> Result<Self, PersistError> {
+        let bytes = match mode {
+            LoadMode::Owned => ShardBytes::Owned(std::fs::read(path)?),
+            LoadMode::ZeroCopy => ShardBytes::Shared(Arc::new(AlignedBytes::read_file(path)?)),
+        };
+        let data = bytes.as_slice();
+        if data.len() as u64 != entry.file_len {
             return Err(PersistError::Truncated {
                 context: "shard artifact",
             });
         }
-        let got = crc32(bytes);
+        let got = crc32(data);
         if got != entry.crc32 {
             return Err(PersistError::ChecksumMismatch {
-                section: shard,
+                section: shard as u32,
                 expected: entry.crc32,
                 got,
             });
         }
-        Ok(())
-    };
-    match mode {
-        LoadMode::Owned => {
-            let bytes = std::fs::read(path)?;
-            check(&bytes)?;
-            load_from_bytes(&bytes)
+        Ok(bytes)
+    }
+
+    fn as_slice(&self) -> &[u8] {
+        match self {
+            ShardBytes::Owned(v) => v,
+            ShardBytes::Shared(buf) => buf.as_slice(),
         }
-        LoadMode::ZeroCopy => {
-            let buf = Arc::new(AlignedBytes::read_file(path)?);
-            check(buf.as_slice())?;
-            load_zero_copy(buf)
+    }
+
+    fn owner(&self) -> Option<&Arc<AlignedBytes>> {
+        match self {
+            ShardBytes::Owned(_) => None,
+            ShardBytes::Shared(buf) => Some(buf),
         }
     }
 }

@@ -227,9 +227,17 @@ impl Folksonomy {
             resources.len(),
             by_resource.iter().map(|a| a.resource.index()),
         );
+        let tag_ptr = build_ptr(tags.len(), by_resource.iter().map(|a| a.tag.index()));
+        // Stable counting scatter by tag: each tag's run keeps the
+        // (resource, user) order it has in `by_resource`, which is
+        // exactly the (tag, resource, user) sort, in O(|Y|).
         let mut by_tag = by_resource.clone();
-        by_tag.sort_unstable_by_key(|a| (a.tag, a.resource, a.user));
-        let tag_ptr = build_ptr(tags.len(), by_tag.iter().map(|a| a.tag.index()));
+        let mut next: Vec<u32> = tag_ptr[..tags.len()].to_vec();
+        for &a in &by_resource {
+            let slot = &mut next[a.tag.index()];
+            by_tag[*slot as usize] = a;
+            *slot += 1;
+        }
         Folksonomy {
             users,
             tags,
@@ -342,6 +350,55 @@ pub fn figure2_example() -> Folksonomy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn interner(prefix: &str, n: usize) -> Interner {
+        let names: Vec<String> = (0..n).map(|i| format!("{prefix}{i}")).collect();
+        Interner::from_names(&names)
+    }
+
+    /// Strategy: entity counts plus an unsorted assignment list over them.
+    /// The small id domains make duplicates common, and with up to 9
+    /// tags and few assignments many tags get none.
+    fn raw_corpus() -> impl Strategy<Value = (usize, usize, usize, Vec<(usize, usize, usize)>)> {
+        (1usize..=4, 1usize..=9, 1usize..=5).prop_flat_map(|(u, t, r)| {
+            (
+                Just(u),
+                Just(t),
+                Just(r),
+                proptest::collection::vec((0..u, 0..t, 0..r), 0..40),
+            )
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn by_tag_index_matches_sort_reference(corpus in raw_corpus()) {
+            let (users, tags, resources, triples) = corpus;
+            let assignments: Vec<TagAssignment> = triples
+                .iter()
+                .map(|&(u, t, r)| TagAssignment {
+                    user: UserId::from_index(u),
+                    tag: TagId::from_index(t),
+                    resource: ResourceId::from_index(r),
+                })
+                .collect();
+            let f = Folksonomy::from_parts(
+                interner("u", users),
+                interner("t", tags),
+                interner("r", resources),
+                assignments.clone(),
+            );
+            let mut reference = assignments;
+            reference.sort_unstable_by_key(|a| (a.tag, a.resource, a.user));
+            reference.dedup();
+            let reference_ptr: Vec<u32> = (0..=tags)
+                .map(|t| reference.iter().filter(|a| a.tag.index() < t).count() as u32)
+                .collect();
+            prop_assert_eq!(&f.by_tag, &reference);
+            prop_assert_eq!(&f.tag_ptr, &reference_ptr);
+        }
+    }
 
     #[test]
     fn figure2_statistics_match_paper() {

@@ -334,10 +334,10 @@ struct Server<'a> {
     /// Admitted connections waiting for a handler.
     queue: Mutex<VecDeque<TcpStream>>,
     queue_cv: Condvar,
-    /// Handlers currently parked on `queue_cv` — the accept loop spawns
-    /// a new handler only when this is zero (and the pool is below its
-    /// cap), so the pool grows to the offered concurrency and no
-    /// further.
+    /// Handlers currently parked on `queue_cv`, changed and read only
+    /// under the `queue` lock — the accept loop spawns a new handler
+    /// only when the queue outgrows it (see [`needs_handler`]), so the
+    /// pool grows to the offered concurrency and no further.
     idle_handlers: AtomicUsize,
     /// A handler caught a panic; surfaced as the server's exit error
     /// after the drain (the pool itself survives).
@@ -676,6 +676,19 @@ impl Server<'_> {
     }
 }
 
+/// The accept loop's pool-growth rule, decided under the queue lock
+/// right after a push: spawn a handler when the queued connections
+/// outnumber the parked handlers (each parked handler takes one), and
+/// the pool is below its cap. A handler counts as parked until it
+/// re-takes the lock after its wakeup, so two connections accepted back
+/// to back while one handler is parked spawn a second handler instead
+/// of waiting behind each other. When every handler is busy, the gate
+/// has capped admitted connections at `max_conns`, so a queued
+/// connection always has a handler coming.
+fn needs_handler(queued: usize, idle: usize, spawned: usize, max_conns: usize) -> bool {
+    queued > idle && spawned < max_conns
+}
+
 pub fn run_serve(
     index: &str,
     top_k: usize,
@@ -769,16 +782,16 @@ pub fn run_serve(
                 .counters
                 .active_connections
                 .fetch_add(1, Ordering::SeqCst); // ORDER: SeqCst admission gauge; see the gate.
-            lock(&server.queue).push_back(stream);
-            // Grow the pool only when no handler is parked: if every
-            // handler is busy and the queue is non-empty, the number of
-            // handlers is below the number of admitted connections,
-            // which the gate already capped at max_conns — so a queued
-            // connection always has a handler coming.
-            // ORDER: SeqCst pool gauge; totally ordered with the
-            // park/unpark pair in `handler_loop`.
-            if server.idle_handlers.load(Ordering::SeqCst) == 0 && spawned < server.limits.max_conns
-            {
+            let spawn = {
+                let mut queue = lock(&server.queue);
+                queue.push_back(stream);
+                // ORDER: SeqCst pool gauge; read under the queue lock,
+                // which the park/unpark pair in `handler_loop` also
+                // holds, so the count matches this queue length.
+                let idle = server.idle_handlers.load(Ordering::SeqCst);
+                needs_handler(queue.len(), idle, spawned, server.limits.max_conns)
+            };
+            if spawn {
                 spawned += 1;
                 let srv = &server;
                 if let Err(e) = std::thread::Builder::new()
@@ -824,6 +837,28 @@ pub fn run_serve(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn handler_spawns_when_queue_outgrows_parked_handlers() {
+        // (queued after the push, parked, spawned, max_conns) -> spawn?
+        let cases = [
+            ((1, 0, 0, 4), true),  // first connection: empty pool
+            ((1, 1, 1, 4), false), // one parked handler takes it
+            ((2, 1, 1, 4), true),  // back to back: the parked one takes only one
+            ((3, 2, 2, 4), true),
+            ((2, 2, 2, 4), false),
+            ((1, 0, 3, 4), true),  // every handler busy
+            ((1, 0, 4, 4), false), // pool at its cap
+            ((5, 1, 4, 4), false),
+        ];
+        for ((queued, idle, spawned, max_conns), want) in cases {
+            assert_eq!(
+                needs_handler(queued, idle, spawned, max_conns),
+                want,
+                "queued {queued} idle {idle} spawned {spawned} max {max_conns}"
+            );
+        }
+    }
 
     #[test]
     fn request_parser_commands_and_queries() {

@@ -179,6 +179,43 @@ fn tcp_serve_end_to_end() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Two connections accepted back to back while the only handler is
+/// parked each get a handler: the second is answered while the first is
+/// still open (and silent), not queued behind it until it disconnects.
+#[test]
+fn back_to_back_connections_do_not_wait_for_each_other() {
+    let dir = scratch_dir("serve-handoff");
+    let manifest = build_sharded(&dir, 2);
+    let mut server = start_server(&manifest);
+
+    // One served and closed connection leaves one handler in the pool.
+    let mut warm = connect(&server.addr);
+    assert!(roundtrip(&mut warm, "people").starts_with("OK\t"));
+    assert_eq!(roundtrip(&mut warm, "QUIT"), "OK bye");
+    assert_eq!(read_to_end(&mut warm), "");
+    // The server cannot be asked whether that handler has parked yet;
+    // the pause makes it likely, so the connections below arrive while
+    // it is parked. The pool rule holds in every interleaving, so the
+    // pause only decides which of them the test exercises.
+    std::thread::sleep(Duration::from_millis(200));
+
+    let mut first = connect(&server.addr);
+    let mut second = connect(&server.addr);
+    second
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let reply = roundtrip(&mut second, "people");
+    assert!(
+        reply.starts_with("OK\t"),
+        "second connection unanswered while the first is open: {reply:?}"
+    );
+    assert!(roundtrip(&mut first, "people").starts_with("OK\t"));
+
+    assert_eq!(roundtrip(&mut first, "SHUTDOWN"), "OK shutting down");
+    server.wait_for_clean_exit(Duration::from_secs(10));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A failed reload (manifest swapped for garbage) must leave the old
 /// generation serving.
 #[test]

@@ -226,3 +226,70 @@ fn unsupported_manifest_version_is_typed_error() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// XORs byte `at` of section `section`'s payload in shard `shard`'s
+/// artifact with `mask`, then re-records the section's CRC in the
+/// artifact's section table and the file's length and CRC in the
+/// manifest, so every checksum the loader verifies still passes.
+fn patch_section_keeping_checksums(
+    dir: &Path,
+    manifest: &Path,
+    shard: usize,
+    section: u32,
+    at: usize,
+    mask: u8,
+) {
+    let path = dir.join(format!("model.shards.shard{shard}"));
+    let mut bytes = std::fs::read(&path).unwrap();
+    let le_u32 = |b: &[u8], at: usize| u32::from_le_bytes(b[at..at + 4].try_into().unwrap());
+    let le_u64 = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+    let count = le_u32(&bytes, 12) as usize;
+    let entry = (0..count)
+        .map(|i| persist::HEADER_LEN + i * persist::TABLE_ENTRY_LEN)
+        .find(|&e| le_u32(&bytes, e) == section)
+        .expect("section present");
+    let offset = le_u64(&bytes, entry + 4) as usize;
+    let len = le_u64(&bytes, entry + 12) as usize;
+    assert!(at < len);
+    bytes[offset + at] ^= mask;
+    let crc = persist::crc32(&bytes[offset..offset + len]);
+    bytes[entry + 20..entry + 24].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+
+    let mut m = shard::load_manifest(manifest).unwrap();
+    m.entries[shard].file_len = bytes.len() as u64;
+    m.entries[shard].crc32 = persist::crc32(&bytes);
+    std::fs::write(manifest, shard::encode_manifest(&m)).unwrap();
+}
+
+#[test]
+fn shard_with_differing_shared_section_is_rejected() {
+    // The folksonomy patch (section 2) renames user "u1" to "v1": byte
+    // 12 is the first name's first character, after the u64 count and
+    // the u32 length, and 'u' ^ 3 = 'v'. The tucker patch (section 3)
+    // flips the low mantissa bit of the first core entry, after the
+    // three u64 core dimensions. Each patched shard stays well-formed
+    // on its own and every checksum passes; only the comparison with
+    // shard 0 can catch it.
+    for (section, name, at, mask) in [
+        (2u32, "folksonomy", 12usize, 0x03u8),
+        (3, "tucker", 24, 0x01),
+    ] {
+        for target in [1usize, 2] {
+            let (dir, manifest) = sharded_fixture(&format!("shared{section}-{target}"));
+            patch_section_keeping_checksums(&dir, &manifest, target, section, at, mask);
+            for result in load_both_modes(&manifest) {
+                match result {
+                    Err(PersistError::Shard { detail }) => assert!(
+                        detail.contains(&format!("shard {target}")) && detail.contains(name),
+                        "the error names the shard and the section: {detail}"
+                    ),
+                    other => {
+                        panic!("{name} patch on shard {target}: expected Shard, got {other:?}")
+                    }
+                }
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+}
