@@ -90,6 +90,30 @@ fn bench_truncated_svd_sparse(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_truncated_svd_dense(c: &mut Criterion) {
+    let mut group = c.benchmark_group("truncated_svd_dense");
+    // Shapes of the HOOI updates on the benchmark corpora: the resource
+    // mode of `scan` (12,417 x 8·8, J₃ = 12) and the user mode of
+    // `delicious` (2,030 x 8·8, J₁ = 41). Full-rank pseudo-random entries.
+    for (rows, cols, k) in [(12_417usize, 64usize, 12usize), (2_030, 64, 41)] {
+        let w = Matrix::from_fn(rows, cols, |i, j| {
+            let mut h = (i as u64) << 32 | j as u64;
+            h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (h >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        });
+        group.bench_with_input(
+            BenchmarkId::from_parameter(format!("{rows}x{cols}k{k}")),
+            &w,
+            |bencher, w| {
+                bencher
+                    .iter(|| black_box(truncated_svd(w, k, &SubspaceOptions::default()).unwrap()));
+            },
+        );
+    }
+    group.finish();
+}
+
 fn bench_csr_matvec(c: &mut Criterion) {
     let m = sparse_matrix(2_000, 2_000, 40_000);
     let x = vec![1.0; 2_000];
@@ -105,6 +129,7 @@ criterion_group!(
     bench_jacobi_eigen,
     bench_subspace_iteration,
     bench_truncated_svd_sparse,
+    bench_truncated_svd_dense,
     bench_csr_matvec
 );
 criterion_main!(benches);

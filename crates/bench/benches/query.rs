@@ -526,9 +526,10 @@ fn emit_query_report(_c: &mut Criterion) {
         let bpp_uncompressed = ix.uncompressed_hot_bytes() as f64 / n_postings.max(1) as f64;
         let artifact_compressed = persist::index_artifact_bytes(ix, true);
         let artifact_uncompressed = persist::index_artifact_bytes(ix, false);
+        let reading = cubelsi_eval::memory::rss_reading();
         let fmt_rss = |v: Option<u64>| v.map_or("null".to_string(), |b| b.to_string());
-        let rss = fmt_rss(cubelsi_eval::memory::current_rss_bytes());
-        let peak_rss = fmt_rss(cubelsi_eval::memory::peak_rss_bytes());
+        let rss = fmt_rss(reading.map(|r| r.current));
+        let peak_rss = fmt_rss(reading.map(|r| r.peak));
         println!(
             "{}: {n_postings} postings | hot {bpp_compressed:.2} B/posting compressed vs \
              {bpp_uncompressed:.2} uncompressed | artifact {artifact_compressed} B (+mirror) vs \

@@ -61,9 +61,9 @@ impl MemoryAccounting {
     }
 }
 
-/// Reads one `kB`-denominated field from `/proc/self/status`.
-fn proc_status_bytes(field: &str) -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+/// The `kB`-denominated field `field` of a `/proc/<pid>/status` text, in
+/// bytes.
+fn status_field_bytes(status: &str, field: &str) -> Option<u64> {
     for line in status.lines() {
         if let Some(rest) = line.strip_prefix(field) {
             let kb: u64 = rest
@@ -78,19 +78,27 @@ fn proc_status_bytes(field: &str) -> Option<u64> {
     None
 }
 
-/// The process's current resident set (`VmRSS`), in bytes — the measured
-/// counterpart to the analytical accounting above, used by the query
-/// bench's memory columns. `None` on platforms without procfs.
-pub fn current_rss_bytes() -> Option<u64> {
-    proc_status_bytes("VmRSS")
+/// The process's resident set, current and peak, in bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RssReading {
+    /// Current resident set (`VmRSS`).
+    pub current: u64,
+    /// Peak resident set (`VmHWM`), the kernel's monotonic high-water
+    /// mark: "the peak so far", not a per-phase peak.
+    pub peak: u64,
 }
 
-/// The process's peak resident set (`VmHWM`), in bytes. Monotonic over
-/// the process lifetime (the kernel's high-water mark), so successive
-/// readings report "the peak so far", not a per-phase peak. `None` on
-/// platforms without procfs.
-pub fn peak_rss_bytes() -> Option<u64> {
-    proc_status_bytes("VmHWM")
+/// Reads the current and peak resident set from **one**
+/// `/proc/self/status` snapshot, so `peak >= current` holds between them
+/// (two separate reads can straddle growth by another thread). The
+/// measured counterpart to the analytical accounting above, used by the
+/// query bench's memory columns. `None` on platforms without procfs.
+pub fn rss_reading() -> Option<RssReading> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    Some(RssReading {
+        current: status_field_bytes(&status, "VmRSS")?,
+        peak: status_field_bytes(&status, "VmHWM")?,
+    })
 }
 
 /// Formats a byte count the way the paper's Table VII does
@@ -180,10 +188,18 @@ mod tests {
     #[cfg(target_os = "linux")]
     #[test]
     fn rss_readings_are_present_and_ordered() {
-        let rss = current_rss_bytes().expect("VmRSS on linux");
-        let peak = peak_rss_bytes().expect("VmHWM on linux");
-        assert!(rss > 0);
-        assert!(peak >= rss, "high-water mark below current RSS");
+        let RssReading { current, peak } = rss_reading().expect("VmRSS and VmHWM on linux");
+        assert!(current > 0);
+        assert!(peak >= current, "high-water mark below current RSS");
+    }
+
+    #[test]
+    fn status_fields_parse_in_bytes() {
+        let status = "Name:\tx\nVmHWM:\t  2048 kB\nVmRSS:\t  1024 kB\n";
+        assert_eq!(status_field_bytes(status, "VmRSS"), Some(1024 * 1024));
+        assert_eq!(status_field_bytes(status, "VmHWM"), Some(2048 * 1024));
+        assert_eq!(status_field_bytes(status, "VmSwap"), None);
+        assert_eq!(status_field_bytes("VmRSS:\tjunk kB\n", "VmRSS"), None);
     }
 
     #[test]

@@ -372,12 +372,37 @@ impl CsrMatrix {
     }
 
     /// Returns the transpose as a new CSR matrix.
+    ///
+    /// A counting scatter in `O(nnz + rows + cols)`: rows are visited in
+    /// ascending order, so every row of the transpose lists its entries in
+    /// ascending column order, as CSR requires.
     pub fn transpose(&self) -> CsrMatrix {
-        let mut coo = CooMatrix::new(self.cols, self.rows);
-        for (r, c, v) in self.iter() {
-            coo.push(c, r, v);
+        let mut row_ptr = vec![0u32; self.cols + 1];
+        for &c in &self.col_idx {
+            row_ptr[c as usize + 1] += 1;
         }
-        coo.to_csr()
+        for c in 0..self.cols {
+            row_ptr[c + 1] += row_ptr[c];
+        }
+        let mut next: Vec<u32> = row_ptr[..self.cols].to_vec();
+        let mut col_idx = vec![0u32; self.nnz()];
+        let mut values = vec![0.0f64; self.nnz()];
+        for r in 0..self.rows {
+            let (start, end) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
+            for k in start..end {
+                let slot = &mut next[self.col_idx[k] as usize];
+                col_idx[*slot as usize] = r as u32;
+                values[*slot as usize] = self.values[k];
+                *slot += 1;
+            }
+        }
+        CsrMatrix {
+            rows: self.cols,
+            cols: self.rows,
+            row_ptr,
+            col_idx,
+            values,
+        }
     }
 
     /// Materializes the matrix densely. Intended for tests and tiny inputs.
@@ -503,6 +528,27 @@ mod tests {
         let m = sample();
         let tt = m.transpose().transpose();
         assert!(m.to_dense().approx_eq(&tt.to_dense(), 0.0));
+    }
+
+    #[test]
+    fn transpose_matches_rebuild_from_swapped_triples() {
+        // Empty rows and columns on both sides, several entries per column.
+        let triples = [
+            (0usize, 4usize, 1.0),
+            (0, 1, -2.0),
+            (2, 1, 3.0),
+            (2, 4, 0.5),
+            (3, 0, 4.0),
+            (5, 1, -1.5),
+            (5, 4, 2.5),
+        ];
+        let m = CsrMatrix::from_triples(6, 6, &triples).unwrap();
+        let swapped: Vec<_> = triples.iter().map(|&(r, c, v)| (c, r, v)).collect();
+        let expected = CsrMatrix::from_triples(6, 6, &swapped).unwrap();
+        assert_eq!(m.transpose(), expected);
+        let wide = CsrMatrix::from_triples(2, 7, &[(0, 6, 1.0), (1, 0, 2.0)]).unwrap();
+        assert_eq!(wide.transpose().shape(), (7, 2));
+        assert_eq!(wide.transpose().transpose(), wide);
     }
 
     #[test]

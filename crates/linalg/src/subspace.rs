@@ -2,9 +2,10 @@
 //! positive semi-definite operators.
 //!
 //! This is the workhorse eigensolver of the repository. HOSVD initialization,
-//! each HOOI/ALS mode update, truncated SVD for the LSI baseline and the
-//! spectral-clustering embedding all reduce to "top-k eigenvectors of a big
-//! symmetric operator that we can only afford to apply, never materialize".
+//! each HOOI/ALS mode update and the LSI baseline (all through
+//! [`crate::svd::truncated_svd`]) and the spectral-clustering embedding all
+//! reduce to "top-k eigenvectors of a symmetric operator applied block by
+//! block".
 //!
 //! The operator abstraction [`SymOp`] takes a whole `n x b` block at a time,
 //! which lets implementations amortize sparse traversals across the block.
@@ -60,99 +61,36 @@ impl SymOp for DenseSymOp<'_> {
     }
 }
 
-/// The Gram operator `A Aᵀ` (or `Aᵀ A`) of a sparse matrix, applied
-/// implicitly so the Gram matrix itself is never formed.
+/// The Gram operator `Aᵀ A` of a sparse matrix, applied implicitly so the
+/// Gram matrix itself is never formed.
 ///
-/// The default **fused** apply streams the sparse matrix once per product
-/// with a reusable scratch buffer: the inner operator `Aᵀ A X` is computed
-/// in a *single* pass over `A` (each row's contribution `t = Aᵢ·X` is
-/// scattered back through `Aᵢᵀ` immediately, so the `A X` intermediate is
-/// never materialized), and the outer operator reuses one scratch matrix for
-/// `Aᵀ X` across calls. Both paths accumulate every output element in
-/// exactly the order of the two materialized sparse–dense products, so the
-/// fused result is **bit-identical** to [`Self::with_fused`]`(false)` — a
-/// guarantee the offline-build equivalence tests rely on.
+/// The apply is **fused**: `Aᵀ A X` is computed in a *single* pass over
+/// `A` (each row's contribution `t = Aᵢ·X` is scattered back through `Aᵢᵀ`
+/// immediately), so the `rows x block` intermediate `A X` is never
+/// materialized. Every output element accumulates in exactly the order of
+/// the two sparse–dense products `Aᵀ (A X)`, so the result is
+/// **bit-identical** to them. The row-side Gram `A Aᵀ` is `inner` of the
+/// transpose: `(Aᵀ)ᵀ (Aᵀ X)` is likewise bit-identical to `A (Aᵀ X)`.
 pub struct GramOp<'a> {
     matrix: &'a CsrMatrix,
-    /// `false`: operator is `A Aᵀ` (dimension = rows of A).
-    /// `true`: operator is `Aᵀ A` (dimension = cols of A).
-    transposed: bool,
-    /// `false` selects the legacy two-matmul reference path.
-    fused: bool,
-    /// Reused intermediate for the outer (`A Aᵀ`) fused path.
-    scratch: std::cell::RefCell<Matrix>,
 }
 
 impl<'a> GramOp<'a> {
-    /// Operator `A Aᵀ` over the row space of `a`.
-    pub fn outer(a: &'a CsrMatrix) -> Self {
-        GramOp {
-            matrix: a,
-            transposed: false,
-            fused: true,
-            scratch: std::cell::RefCell::new(Matrix::zeros(0, 0)),
-        }
-    }
-
     /// Operator `Aᵀ A` over the column space of `a`.
     pub fn inner(a: &'a CsrMatrix) -> Self {
-        GramOp {
-            matrix: a,
-            transposed: true,
-            fused: true,
-            scratch: std::cell::RefCell::new(Matrix::zeros(0, 0)),
-        }
-    }
-
-    /// Selects between the fused apply (default) and the materialized
-    /// two-matmul reference path. Both produce bit-identical results; the
-    /// reference exists for equivalence tests and the build-phase bench.
-    pub fn with_fused(mut self, fused: bool) -> Self {
-        self.fused = fused;
-        self
+        GramOp { matrix: a }
     }
 }
 
 impl SymOp for GramOp<'_> {
     fn dim(&self) -> usize {
-        if self.transposed {
-            self.matrix.cols()
-        } else {
-            self.matrix.rows()
-        }
+        self.matrix.cols()
     }
 
     fn apply_block_into(&self, x: &Matrix, out: &mut Matrix) {
-        if !self.fused {
-            // Legacy reference: two materialized sparse–dense products.
-            *out = if self.transposed {
-                // (Aᵀ A) X = Aᵀ (A X)
-                let ax = self.matrix.matmul_dense(x).expect("GramOp inner: A*X");
-                self.matrix
-                    .matmul_dense_t(&ax)
-                    .expect("GramOp inner: Aᵀ*(AX)")
-            } else {
-                // (A Aᵀ) X = A (Aᵀ X)
-                let atx = self.matrix.matmul_dense_t(x).expect("GramOp outer: Aᵀ*X");
-                self.matrix
-                    .matmul_dense(&atx)
-                    .expect("GramOp outer: A*(AᵀX)")
-            };
-            return;
-        }
-        if self.transposed {
-            self.matrix
-                .gram_inner_apply_into(x, out)
-                .expect("GramOp inner: fused AᵀAX");
-        } else {
-            let mut atx = self.scratch.borrow_mut();
-            self.matrix
-                .matmul_dense_t_into(x, &mut atx)
-                .expect("GramOp outer: Aᵀ*X");
-            self.matrix
-                .matmul_dense_into(&atx, out)
-                .expect("GramOp outer: A*(AᵀX)");
-        }
+        self.matrix
+            .gram_inner_apply_into(x, out)
+            .expect("GramOp: fused AᵀAX");
     }
 }
 
@@ -408,7 +346,7 @@ mod tests {
     }
 
     #[test]
-    fn gram_op_outer_matches_dense() {
+    fn gram_op_inner_on_transpose_matches_dense_outer_gram() {
         let a = CsrMatrix::from_triples(
             4,
             3,
@@ -422,7 +360,8 @@ mod tests {
         )
         .unwrap();
         let dense_gram = a.to_dense().gram_t();
-        let op = GramOp::outer(&a);
+        let at = a.transpose();
+        let op = GramOp::inner(&at);
         assert_eq!(op.dim(), 4);
         let top = sym_eigs_topk(&op, 2, &SubspaceOptions::default()).unwrap();
         let full = jacobi_eigen(&dense_gram, 1e-13).unwrap();
@@ -490,6 +429,14 @@ mod tests {
         (a, x)
     }
 
+    fn same_bits(a: &Matrix, b: &Matrix) -> bool {
+        a.shape() == b.shape()
+            && a.as_slice()
+                .iter()
+                .zip(b.as_slice())
+                .all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
     #[test]
     fn fused_gram_apply_bit_identical_to_materialized() {
         for (rows, cols, nnz, width, seed) in [
@@ -498,25 +445,40 @@ mod tests {
             (40, 40, 10, 3, 3),
         ] {
             let (a, x_full) = random_csr_and_block(rows, cols, nnz, width, seed);
-            // Inner: AᵀA over R^cols.
+            // Column side: Aᵀ A X against Aᵀ (A X).
             let x = x_full.submatrix(0, cols, 0, width).unwrap();
             let fused = GramOp::inner(&a).apply_block(&x);
-            let reference = GramOp::inner(&a).with_fused(false).apply_block(&x);
+            let reference = a.matmul_dense_t(&a.matmul_dense(&x).unwrap()).unwrap();
             assert!(
-                fused.approx_eq(&reference, 0.0),
+                same_bits(&fused, &reference),
                 "inner fused != materialized at {rows}x{cols}"
             );
-            // Outer: AAᵀ over R^rows; apply twice to exercise scratch reuse.
+        }
+    }
+
+    #[test]
+    fn gram_op_inner_on_transpose_bit_identical_to_outer_products() {
+        for (rows, cols, nnz, width, seed) in [
+            (30, 20, 150, 7, 1u64),
+            (8, 50, 90, 12, 2),
+            (40, 40, 10, 3, 3),
+        ] {
+            let (a, x_full) = random_csr_and_block(rows, cols, nnz, width, seed);
+            // Row side: inner(Aᵀ) X against A (Aᵀ X); apply twice so reuse
+            // of the output buffer is covered.
             let x = x_full.submatrix(0, rows, 0, width).unwrap();
-            let outer = GramOp::outer(&a);
-            let first = outer.apply_block(&x);
-            let second = outer.apply_block(&x);
-            let reference = GramOp::outer(&a).with_fused(false).apply_block(&x);
+            let at = a.transpose();
+            let op = GramOp::inner(&at);
+            let mut out = Matrix::zeros(0, 0);
+            op.apply_block_into(&x, &mut out);
+            let first = out.clone();
+            op.apply_block_into(&x, &mut out);
+            let reference = a.matmul_dense(&a.matmul_dense_t(&x).unwrap()).unwrap();
             assert!(
-                first.approx_eq(&reference, 0.0),
-                "outer fused != materialized at {rows}x{cols}"
+                same_bits(&first, &reference),
+                "inner(Aᵀ) != A (Aᵀ X) at {rows}x{cols}"
             );
-            assert!(second.approx_eq(&first, 0.0), "outer scratch reuse drifted");
+            assert!(same_bits(&out, &first), "output buffer reuse drifted");
         }
     }
 

@@ -2,17 +2,19 @@
 //!
 //! Two paths are provided:
 //!
-//! * [`jacobi_svd`] — a one-sided Jacobi SVD for small dense matrices.
-//!   Used for the factor-matrix updates on the (small) projected unfoldings
-//!   inside Tucker ALS and as the reference implementation in tests.
-//! * [`truncated_svd`] — top-`k` singular triplets of a large (possibly
-//!   sparse, possibly implicit) operator via subspace iteration on the Gram
-//!   operator. Used by the LSI baseline on the tag×resource matrix.
+//! * [`jacobi_svd`] — a one-sided Jacobi SVD for small dense matrices, the
+//!   reference implementation in tests.
+//! * [`truncated_svd`] — top-`k` singular triplets by subspace iteration on
+//!   the Gram matrix of the operator's *smaller* side. It is the one top-k
+//!   solver of the offline build: the HOSVD initialization and every HOOI
+//!   update of Tucker ALS take its left vectors, and the LSI baseline its
+//!   left vectors and singular values.
 
 use crate::error::LinAlgError;
 use crate::matrix::{norm2, Matrix};
+use crate::qr::{orthonormality_error, orthonormalize_columns};
 use crate::sparse::CsrMatrix;
-use crate::subspace::{sym_eigs_topk, SubspaceOptions, SymOp};
+use crate::subspace::{sym_eigs_topk, DenseSymOp, GramOp, SubspaceOptions, TopkEigen};
 use crate::Result;
 
 /// A (possibly truncated) singular value decomposition `A ≈ U Σ Vᵀ`.
@@ -39,8 +41,9 @@ impl Svd {
     }
 }
 
-/// A linear operator `A: R^n → R^m` that can be applied (and transposed-
-/// applied) to dense blocks. Implemented by sparse and dense matrices.
+/// A matrix `A: R^n → R^m` that [`truncated_svd`] can decompose: it applies
+/// `A` and `Aᵀ` to dense blocks and solves the eigenproblem of its Gram
+/// matrix on the smaller side. Implemented by sparse and dense matrices.
 pub trait LinOp {
     /// Output dimension `m`.
     fn out_dim(&self) -> usize;
@@ -50,15 +53,10 @@ pub trait LinOp {
     fn apply(&self, x: &Matrix) -> Matrix;
     /// `Aᵀ * Y` where `Y` is `m x b`.
     fn apply_t(&self, y: &Matrix) -> Matrix;
-    /// [`Self::apply`] into a caller-owned buffer (resized + overwritten);
-    /// override to skip the per-call allocation in iterative solvers.
-    fn apply_into(&self, x: &Matrix, out: &mut Matrix) {
-        *out = self.apply(x);
-    }
-    /// [`Self::apply_t`] into a caller-owned buffer (resized + overwritten).
-    fn apply_t_into(&self, y: &Matrix, out: &mut Matrix) {
-        *out = self.apply_t(y);
-    }
+    /// The `k` leading eigenpairs of the Gram matrix on the smaller side:
+    /// `AᵀA` (`n x n`) when `n <= m`, else `AAᵀ` (`m x m`). `k` is at most
+    /// `min(m, n)`.
+    fn small_gram_eigs(&self, k: usize, opts: &SubspaceOptions) -> Result<TopkEigen>;
 }
 
 impl LinOp for Matrix {
@@ -77,13 +75,16 @@ impl LinOp for Matrix {
         self.matmul_tn(y)
             .expect("LinOp apply_t: dimension mismatch")
     }
-    fn apply_into(&self, x: &Matrix, out: &mut Matrix) {
-        self.matmul_into(x, out)
-            .expect("LinOp apply: dimension mismatch")
-    }
-    fn apply_t_into(&self, y: &Matrix, out: &mut Matrix) {
-        self.matmul_tn_into(y, out)
-            .expect("LinOp apply_t: dimension mismatch")
+    /// Forms the `min(m, n)²` Gram explicitly in one pass over `A`; every
+    /// iteration then touches only that small matrix instead of reading
+    /// `A` twice.
+    fn small_gram_eigs(&self, k: usize, opts: &SubspaceOptions) -> Result<TopkEigen> {
+        let gram = if self.cols() <= self.rows() {
+            self.gram()
+        } else {
+            self.gram_t()
+        };
+        sym_eigs_topk(&DenseSymOp::new(&gram), k, opts)
     }
 }
 
@@ -102,13 +103,17 @@ impl LinOp for CsrMatrix {
         self.matmul_dense_t(y)
             .expect("LinOp apply_t: dimension mismatch")
     }
-    fn apply_into(&self, x: &Matrix, out: &mut Matrix) {
-        self.matmul_dense_into(x, out)
-            .expect("LinOp apply: dimension mismatch")
-    }
-    fn apply_t_into(&self, y: &Matrix, out: &mut Matrix) {
-        self.matmul_dense_t_into(y, out)
-            .expect("LinOp apply_t: dimension mismatch")
+    /// Applies the Gram implicitly with the fused single-pass
+    /// [`GramOp::inner`]: on `A` itself when `n <= m`, else on the
+    /// transpose, built once. Either way no `(other side) x block`
+    /// intermediate exists, and the apply is bit-identical to the two
+    /// sparse–dense products it replaces.
+    fn small_gram_eigs(&self, k: usize, opts: &SubspaceOptions) -> Result<TopkEigen> {
+        if self.cols() <= self.rows() {
+            sym_eigs_topk(&GramOp::inner(self), k, opts)
+        } else {
+            sym_eigs_topk(&GramOp::inner(&self.transpose()), k, opts)
+        }
     }
 }
 
@@ -216,65 +221,48 @@ pub fn jacobi_svd(a: &Matrix) -> Result<Svd> {
     })
 }
 
-/// Top-`k` singular triplets of a large operator via subspace iteration on
-/// the smaller of its two Gram operators.
+/// Singular values at or below this fraction of `σ₁` count as zero. A
+/// Gram-based solve resolves eigenvalues only to about `ε·λ₁`, which puts
+/// the singular values of null directions near `√ε·σ₁ ≈ 1.5e-8·σ₁`
+/// rather than at 0; dividing by such a value would blow round-off up into
+/// a spurious singular vector.
+const NULL_SINGULAR_REL: f64 = 1e-6;
+
+/// Largest [`orthonormality_error`] a recovered factor may keep without
+/// being re-orthonormalized. The eigensolver leaves its Ritz vectors
+/// Gram-orthogonal only to its Jacobi tolerance, and recovery through
+/// `Σ⁻¹` amplifies that coupling by about `σ₁²/(σᵢσⱼ)`: well-separated
+/// spectra stay near 1e-13, wide ones (σ₁/σₖ ≈ 40) reach 1e-10.
+const ORTHONORMALITY_TOL: f64 = 1e-11;
+
+/// Top-`k` singular triplets of `A` (`m x n`) via subspace iteration on the
+/// Gram matrix of the smaller side ([`LinOp::small_gram_eigs`]).
+///
+/// The eigenvectors are the singular vectors of that side; the other side
+/// is recovered as `A V Σ⁻¹` (or `Aᵀ U Σ⁻¹`). `U` always has exactly `k`
+/// columns, orthonormal to within [`ORTHONORMALITY_TOL`]
+/// (`1 <= k <= m`, else `InvalidArgument`), also when
+/// `A` is rank deficient: vectors for zero singular values (at most
+/// [`NULL_SINGULAR_REL`]`·σ₁`) form an orthonormal completion. When
+/// `k > n`, the singular values past `n` are 0 and the matching columns of
+/// `V` are zero.
 pub fn truncated_svd(a: &dyn LinOp, k: usize, opts: &SubspaceOptions) -> Result<Svd> {
     let (m, n) = (a.out_dim(), a.in_dim());
-    let k = k.min(m).min(n);
-    if k == 0 {
-        return Err(LinAlgError::InvalidArgument(
-            "truncated_svd requires k >= 1 and a non-empty matrix".into(),
-        ));
+    if k == 0 || k > m || n == 0 {
+        return Err(LinAlgError::InvalidArgument(format!(
+            "truncated_svd needs 1 <= k <= rows on a non-empty matrix, got k = {k} for {m}x{n}"
+        )));
     }
-    struct OpGram<'a> {
-        op: &'a dyn LinOp,
-        /// true → iterate on AᵀA (n x n), else on AAᵀ (m x m).
-        inner: bool,
-        /// Reused intermediate (`A X` or `Aᵀ Y`) across applies.
-        scratch: std::cell::RefCell<Matrix>,
-    }
-    impl SymOp for OpGram<'_> {
-        fn dim(&self) -> usize {
-            if self.inner {
-                self.op.in_dim()
-            } else {
-                self.op.out_dim()
-            }
-        }
-        fn apply_block_into(&self, x: &Matrix, out: &mut Matrix) {
-            let mut mid = self.scratch.borrow_mut();
-            if self.inner {
-                self.op.apply_into(x, &mut mid);
-                self.op.apply_t_into(&mid, out);
-            } else {
-                self.op.apply_t_into(x, &mut mid);
-                self.op.apply_into(&mid, out);
-            }
-        }
-    }
-    let inner = n <= m;
-    let gram = OpGram {
-        op: a,
-        inner,
-        scratch: std::cell::RefCell::new(Matrix::zeros(0, 0)),
-    };
-    let eigs = sym_eigs_topk(&gram, k, opts)?;
-    let singular_values: Vec<f64> = eigs.values.iter().map(|&l| l.max(0.0).sqrt()).collect();
-    // Columns for (near-)zero singular values come out as zero vectors from
-    // the Σ⁻¹ rescaling; rank-deficient inputs then need an orthonormal
-    // completion so callers (HOOI factor updates) always receive a full
-    // orthonormal basis.
-    let needs_completion = singular_values
-        .iter()
-        .any(|&s| s <= 1e-10 * singular_values.first().copied().unwrap_or(1.0).max(1e-300));
-
-    if inner {
-        // Eigenvectors are V; recover U = A V Σ⁻¹.
-        let v = eigs.vectors;
-        let av = a.apply(&v);
-        let mut u = scale_cols_by_inverse(&av, &singular_values);
-        if needs_completion {
-            crate::qr::orthonormalize_columns(&mut u);
+    let eigs = a.small_gram_eigs(k.min(n), opts)?;
+    let mut singular_values: Vec<f64> = eigs.values.iter().map(|&l| l.max(0.0).sqrt()).collect();
+    let floor = NULL_SINGULAR_REL * singular_values[0];
+    if n <= m {
+        // Eigenvectors are V; recover U = A V Σ⁻¹, completed to k columns.
+        let mut v = eigs.vectors;
+        let u = recover_orthonormal(a.apply(&v), &singular_values, floor, k);
+        singular_values.resize(k, 0.0);
+        if v.cols() < k {
+            v = widen(&v, k);
         }
         Ok(Svd {
             u,
@@ -284,11 +272,7 @@ pub fn truncated_svd(a: &dyn LinOp, k: usize, opts: &SubspaceOptions) -> Result<
     } else {
         // Eigenvectors are U; recover V = Aᵀ U Σ⁻¹.
         let u = eigs.vectors;
-        let atu = a.apply_t(&u);
-        let mut v = scale_cols_by_inverse(&atu, &singular_values);
-        if needs_completion {
-            crate::qr::orthonormalize_columns(&mut v);
-        }
+        let v = recover_orthonormal(a.apply_t(&u), &singular_values, floor, k);
         Ok(Svd {
             u,
             singular_values,
@@ -297,20 +281,37 @@ pub fn truncated_svd(a: &dyn LinOp, k: usize, opts: &SubspaceOptions) -> Result<
     }
 }
 
-/// Divides each column by the corresponding singular value (columns with a
-/// vanishing singular value are zeroed — they carry no energy).
-fn scale_cols_by_inverse(m: &Matrix, sigma: &[f64]) -> Matrix {
-    let mut out = m.clone();
-    let (rows, cols) = out.shape();
-    for j in 0..cols {
-        let inv = if sigma[j] > 1e-12 {
-            1.0 / sigma[j]
-        } else {
-            0.0
-        };
-        for i in 0..rows {
-            out[(i, j)] *= inv;
+/// Turns `X = A W` (`W` the eigenvectors of one side) into `width`
+/// orthonormal singular vectors of the other side: column `j` is divided by
+/// `σⱼ`, columns of zero singular values (`σⱼ <= floor`) and those past
+/// `σ.len()` are completed to an orthonormal basis, and a result that lost
+/// orthogonality beyond [`ORTHONORMALITY_TOL`] is re-orthonormalized.
+fn recover_orthonormal(mut x: Matrix, sigma: &[f64], floor: f64, width: usize) -> Matrix {
+    let cols = x.cols();
+    let inv: Vec<f64> = sigma
+        .iter()
+        .map(|&s| if s > floor { 1.0 / s } else { 0.0 })
+        .collect();
+    for row in x.as_mut_slice().chunks_exact_mut(cols.max(1)) {
+        for (v, &inv) in row.iter_mut().zip(&inv) {
+            *v *= inv;
         }
+    }
+    let complete = width > cols || inv.contains(&0.0);
+    if width > cols {
+        x = widen(&x, width);
+    }
+    if complete || orthonormality_error(&x) > ORTHONORMALITY_TOL {
+        orthonormalize_columns(&mut x);
+    }
+    x
+}
+
+/// `m` padded with zero columns up to `width`.
+fn widen(m: &Matrix, width: usize) -> Matrix {
+    let mut out = Matrix::zeros(m.rows(), width);
+    for i in 0..m.rows() {
+        out.row_mut(i)[..m.cols()].copy_from_slice(m.row(i));
     }
     out
 }
@@ -425,6 +426,72 @@ mod tests {
     fn truncated_rejects_k_zero() {
         let a = sample();
         assert!(truncated_svd(&a, 0, &SubspaceOptions::default()).is_err());
+    }
+
+    #[test]
+    fn truncated_rejects_k_above_rows() {
+        let a = sample();
+        assert!(truncated_svd(&a, 5, &SubspaceOptions::default()).is_err());
+        assert!(truncated_svd(&a.transpose(), 4, &SubspaceOptions::default()).is_err());
+    }
+
+    #[test]
+    fn truncated_completes_when_k_exceeds_cols() {
+        // A tall sparse matrix (an unfolding with few occupied columns)
+        // asked for more left vectors than it has columns.
+        let triples = [
+            (0usize, 0usize, 2.0),
+            (1, 1, 1.0),
+            (3, 0, 1.0),
+            (4, 2, -3.0),
+            (5, 1, 0.5),
+        ];
+        let sp = CsrMatrix::from_triples(6, 3, &triples).unwrap();
+        let svd = truncated_svd(&sp, 5, &SubspaceOptions::default()).unwrap();
+        assert_eq!(svd.u.shape(), (6, 5));
+        assert_eq!(svd.v.shape(), (3, 5));
+        assert!(orthonormality_error(&svd.u) < 1e-12);
+        assert_eq!(&svd.singular_values[3..], &[0.0, 0.0]);
+        assert!(svd.reconstruct().unwrap().approx_eq(&sp.to_dense(), 1e-10));
+    }
+
+    #[test]
+    fn truncated_dense_rank_deficient_returns_k_orthonormal() {
+        // Rank 2 (the third column is the sum of the first two): the
+        // explicit Gram leaves the null singular value near √ε·σ₁, which
+        // must be completed, not divided by.
+        let w = Matrix::from_rows(&[
+            vec![1.0, 0.0, 1.0],
+            vec![0.0, 2.0, 2.0],
+            vec![3.0, 1.0, 4.0],
+            vec![1.0, -1.0, 0.0],
+            vec![2.0, 0.5, 2.5],
+        ])
+        .unwrap();
+        let svd = truncated_svd(&w, 3, &SubspaceOptions::default()).unwrap();
+        assert_eq!(svd.u.shape(), (5, 3));
+        assert!(orthonormality_error(&svd.u) < 1e-12);
+        assert!(svd.singular_values[2] <= 1e-6 * svd.singular_values[0]);
+        assert!(svd.reconstruct().unwrap().approx_eq(&w, 1e-7));
+        // The leading pair matches the oracle.
+        let full = jacobi_svd(&w).unwrap();
+        for j in 0..2 {
+            assert!((svd.singular_values[j] - full.singular_values[j]).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn truncated_dense_wide_iterates_on_row_gram() {
+        let w = sample().transpose();
+        let svd = truncated_svd(&w, 2, &SubspaceOptions::default()).unwrap();
+        let full = jacobi_svd(&w).unwrap();
+        assert_eq!(svd.u.shape(), (3, 2));
+        assert_eq!(svd.v.shape(), (4, 2));
+        for j in 0..2 {
+            assert!((svd.singular_values[j] - full.singular_values[j]).abs() < 1e-9);
+        }
+        assert!(orthonormality_error(&svd.u) < 1e-12);
+        assert!(orthonormality_error(&svd.v) < 1e-10);
     }
 
     #[test]

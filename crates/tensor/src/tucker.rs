@@ -6,8 +6,15 @@
 //! mode-1 HOSVD would be discarded unread. Each HOSVD runs on the
 //! occupied columns of the mode-n unfolding only (see
 //! [`SparseTensor3::unfold_csr`]): the full unfolding has `∏ₘ≠ₙ Iₘ`
-//! columns, nearly all empty for a power-law folksonomy, and the `Aᵀ X`
-//! intermediate of the Gram apply would otherwise be that tall.
+//! columns, nearly all empty for a power-law folksonomy.
+//!
+//! Every top-`Jₙ` solve — HOSVD and HOOI alike — is one call to
+//! [`truncated_svd`], which iterates on the Gram matrix of the *smaller*
+//! side of its matrix. A tag-assignment unfolding is often far taller
+//! than its occupied width (the resource mode: 12k rows, 4.6k occupied
+//! columns on the `scan` benchmark corpus), and a HOOI product
+//! `W₍ₙ₎` is `Iₙ x ∏ₘ≠ₙ Jₘ` with a tiny second side, so the eigenproblem
+//! shrinks to that side.
 //!
 //! Solves the trimmed Tucker problem of Definition 2 in the paper: given a
 //! sparse `F ∈ R^{I₁×I₂×I₃}` and core dimensions `J₁, J₂, J₃` (usually set
@@ -25,7 +32,7 @@
 
 use cubelsi_linalg::subspace::SubspaceOptions;
 use cubelsi_linalg::svd::truncated_svd;
-use cubelsi_linalg::{sym_eigs_topk, GramOp, LinAlgError, Matrix};
+use cubelsi_linalg::{LinAlgError, Matrix};
 
 use crate::dense::DenseTensor3;
 use crate::sparse::SparseTensor3;
@@ -174,8 +181,8 @@ pub fn tucker_als(
         ));
     }
 
-    // --- HOSVD initialization: Y⁽ⁿ⁾ ← top-Jₙ eigenvectors of Aₙ Aₙᵀ where
-    // Aₙ is the sparse mode-n unfolding, for modes 2 and 3. The mode-1 slot
+    // --- HOSVD initialization: Y⁽ⁿ⁾ ← top-Jₙ left singular vectors of the
+    // sparse mode-n unfolding Aₙ, for modes 2 and 3. The mode-1 slot
     // is a placeholder: the first sweep's mode-1 update always runs
     // (`updated_from[0]` starts behind the input versions) and replaces it
     // before anything reads it.
@@ -301,10 +308,9 @@ pub fn tucker_als(
     })
 }
 
-/// HOSVD factor for one mode: leading eigenvectors of the sparse unfolding's
-/// outer Gram operator, computed without densifying the unfolding. Empty
-/// columns add nothing to `A Aᵀ`, so the unfolding keeps only its occupied
-/// ones; the result is bit-identical to the full-width product.
+/// HOSVD factor for one mode: the leading `k` left singular vectors of the
+/// sparse mode-n unfolding, computed without densifying it. Empty columns
+/// add nothing to `A Aᵀ`, so the unfolding keeps only its occupied ones.
 fn hosvd_factor(
     f: &SparseTensor3,
     mode: usize,
@@ -312,8 +318,7 @@ fn hosvd_factor(
     options: &SubspaceOptions,
 ) -> Result<Matrix, LinAlgError> {
     let (unfolding, _) = f.unfold_csr(mode);
-    let eigs = sym_eigs_topk(&GramOp::outer(&unfolding), k, options)?;
-    Ok(eigs.vectors)
+    Ok(truncated_svd(&unfolding, k, options)?.u)
 }
 
 #[cfg(test)]
